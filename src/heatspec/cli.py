@@ -24,11 +24,9 @@ from . import __version__
 from .density import CircleDensity, LineDensity, positive_support
 from .errors import HeatspecError, InvalidConfig, InvalidParameter
 from .flow import finite_N_covariance_unitary, finite_N_expectation, intertwined_laplacian, limit_expectation, numerical_laplacian
-from .moments import moment_table
+from .moments import SAFE_MAX_N, moment_table
 from .simulate import EnsembleConfig, TestFunction, mc_experiment, path_rng
 from .trace_poly import parse_poly, tp_mul, v
-
-_MOMENT_SAFE_MAX = 30
 
 
 def _manifest(name: str, ns: argparse.Namespace, t0: float) -> dict:
@@ -63,10 +61,10 @@ def _c2pair(z: complex) -> list:
 
 def cmd_moments(ns: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    if ns.max_n > _MOMENT_SAFE_MAX and not ns.unsafe_precision:
+    if ns.max_n > SAFE_MAX_N and not ns.unsafe_precision:
         raise InvalidParameter(
             f"max-n {ns.max_n} exceeds the numerically safe range "
-            f"(> {_MOMENT_SAFE_MAX}); pass --unsafe-precision to force"
+            f"(> {SAFE_MAX_N}); pass --unsafe-precision to force"
         )
     table = moment_table(ns.t, ns.max_n)
     pairs = [[n, table.entries[n]] for n in range(ns.max_n + 1)]
@@ -119,7 +117,10 @@ def _parse_observables(arg: str):
         if not entry:
             continue
         if entry.startswith("sv:"):
-            k = int(entry[3:])
+            try:
+                k = int(entry[3:])
+            except ValueError as exc:
+                raise InvalidParameter(f"observable {entry!r}: sv:<k> needs an integer k") from exc
             obs.append(TestFunction.chi(k))
         else:
             obs.append(parse_poly(entry))
@@ -226,7 +227,10 @@ def cmd_density(ns: argparse.Namespace) -> int:
 
 def cmd_variance_scan(ns: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    Ns = [int(x) for x in ns.Ns.split(",") if x.strip()]
+    try:
+        Ns = [int(x) for x in ns.Ns.split(",") if x.strip()]
+    except ValueError as exc:
+        raise InvalidParameter(f"--Ns must be a comma list of integers, got {ns.Ns!r}") from exc
     if not Ns:
         raise InvalidConfig("--Ns must list at least one matrix size")
     if any(n < 2 for n in Ns):

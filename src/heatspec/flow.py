@@ -1,4 +1,4 @@
-"""Degree-graded generator flow on the trace-polynomial algebra.
+"""Index-graded, degree-filtered generator flow on the trace-polynomial algebra.
 
 The two derivations implemented symbolically here are, at unit flow rate,
 
@@ -7,12 +7,17 @@ The two derivations implemented symbolically here are, at unit flow rate,
                                             + (sum_{j=1}^{k-1} v_{-j} v_{-(k-j)}) d_{-k} ]
     second-order part L: (1/2) sum_{|j|,|k|>=1} j k v_{j+k} d_j d_k,   v_0 == 1.
 
-Both preserve trace degree, so the span of monomials of degree <= n is an
-invariant finite-dimensional subspace; `build_generator` materializes
-u * (D + inv_N_sq * L) on that basis and `expm` exponentiates it.  Heat-kernel
-expectations at matrix size N follow by applying exp(-generator) with
-inv_N_sq = 1/N^2 and reading off the value at v == 1; inv_N_sq = 0 gives the
-large-N limit flow, which factors over monomials with the closed-form moments.
+Both conserve the signed index sum sigma of a monomial (`mono_index_sum`).  D
+preserves trace degree and L never raises it (it lowers degree when it
+contracts a mixed-sign pair v_j v_{-j} to the constant), so the generator is
+sigma-graded and filtered by degree: the monomials of degree <= n and index
+sum sigma span an invariant subspace, a "sector".  `build_generator`
+materializes u * (D + inv_N_sq * L) on the whole basis of degree <= n.
+Heat-kernel expectations at matrix size N apply exp(-generator) with
+inv_N_sq = 1/N^2 and read off the value at v == 1; they exponentiate only the
+small real blocks of the sectors a polynomial touches.  inv_N_sq = 0 gives
+the large-N limit flow, which factors over monomials with the closed-form
+moments.
 
 Scalar flow-time convention: a single parameter u drives everything — u = t
 for the unitary group, u = s - t for eigenvalues under the two-parameter
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     ConditioningWarning,
@@ -50,9 +56,6 @@ from .trace_poly import (
 
 DEFAULT_MAX_DEGREE = 12
 
-# expm contract: relative error <= 1e-12 in the l1-induced operator norm
-_EXPM_TERM_RATIO = 1e-18
-_EXPM_SCALE_TARGET = 0.5
 _PRUNE_REL = 1e-15
 _CONDITIONING_THRESHOLD = 20.0
 
@@ -74,7 +77,7 @@ class GeneratorSpec:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense matrix of a degree-preserving operator on a monomial basis."""
+    """Dense matrix of an operator on a monomial basis."""
 
     basis: tuple  # monomials of trace degree <= n, canonical order
     entries: np.ndarray  # complex, column j = image of basis[j]
@@ -169,9 +172,15 @@ def hp_basis(n: int) -> tuple:
     return tuple(uniq)
 
 
-@lru_cache(maxsize=None)
-def _basis_index(n: int) -> dict:
-    return {m: i for i, m in enumerate(hp_basis(n))}
+def _warn_conditioning(u: float, n: int) -> None:
+    """Warn the caller's caller when exp(-u (D + L)) on degree <= n may amplify roundoff."""
+    bound = abs(u) / 2.0 * n * n
+    if bound > _CONDITIONING_THRESHOLD:
+        warnings.warn(
+            f"flow norm bound exp({bound:.1f}) is large; exponential may amplify roundoff",
+            ConditioningWarning,
+            stacklevel=3,
+        )
 
 
 def build_generator(spec: GeneratorSpec, *, max_degree: int = DEFAULT_MAX_DEGREE) -> OperatorMatrix:
@@ -179,15 +188,9 @@ def build_generator(spec: GeneratorSpec, *, max_degree: int = DEFAULT_MAX_DEGREE
     n = spec.degree_cap
     if n > max_degree:
         raise DegreeCapExceeded(f"degree {n} exceeds the configured maximum {max_degree}")
-    if abs(spec.u) / 2.0 * n * n > _CONDITIONING_THRESHOLD:
-        warnings.warn(
-            f"flow norm bound exp({abs(spec.u) / 2.0 * n * n:.1f}) is large; "
-            "exponential may amplify roundoff",
-            ConditioningWarning,
-            stacklevel=2,
-        )
+    _warn_conditioning(spec.u, n)
     basis = hp_basis(n)
-    index = _basis_index(n)
+    index = {m: i for i, m in enumerate(basis)}
     A = np.zeros((len(basis), len(basis)), dtype=complex)
     if spec.u != 0.0:
         for j, m in enumerate(basis):
@@ -211,32 +214,9 @@ def operator_l1_norm(op: OperatorMatrix) -> float:
     return _l1_opnorm(op.entries)
 
 
-def _expm_array(A: np.ndarray) -> np.ndarray:
-    norm = _l1_opnorm(A)
-    squarings = 0
-    if norm > _EXPM_SCALE_TARGET:
-        squarings = int(math.ceil(math.log2(norm / _EXPM_SCALE_TARGET)))
-        A = A / (2.0 ** squarings)
-    dim = A.shape[0]
-    total = np.eye(dim, dtype=complex)
-    term = np.eye(dim, dtype=complex)
-    k = 1
-    while True:
-        term = term @ A / k
-        total = total + term
-        if _l1_opnorm(term) < _EXPM_TERM_RATIO * _l1_opnorm(total):
-            break
-        k += 1
-        if k > 200:  # unreachable with norm <= 1/2; safety stop
-            break
-    for _ in range(squarings):
-        total = total @ total
-    return total
-
-
 def expm(op: OperatorMatrix) -> OperatorMatrix:
-    """Matrix exponential by scaling-and-squaring with truncated series."""
-    return OperatorMatrix(basis=op.basis, entries=_expm_array(op.entries))
+    """Matrix exponential by scaling and squaring (`scipy.linalg.expm`, Higham 2005)."""
+    return OperatorMatrix(basis=op.basis, entries=scipy.linalg.expm(op.entries))
 
 
 def apply_operator(op: OperatorMatrix, p: TracePoly) -> TracePoly:
@@ -254,34 +234,42 @@ def apply_operator(op: OperatorMatrix, p: TracePoly) -> TracePoly:
 
 # -- heat-kernel expectations ------------------------------------------------
 
-_flow_cache: dict = {}
+
+@dataclass(frozen=True)
+class _Sector:
+    """Monomials of degree <= n and index sum sigma, with the unit-rate D and L on them."""
+
+    basis: tuple
+    index: dict  # monomial -> position in basis
+    D: np.ndarray  # real, column j = image of basis[j]
+    L: np.ndarray
 
 
-def _exp_functional(u: float, inv_N_sq: float, n: int, max_degree: int) -> np.ndarray:
-    """The row functional 1^T exp(-generator): evaluation-at-1 after the flow.
+# (n, sigma) ranges over |sigma| <= n <= the largest degree cap in use
+@lru_cache(maxsize=None)
+def _sector(n: int, sigma: int) -> _Sector:
+    basis = tuple(m for m in hp_basis(n) if mono_index_sum(m) == sigma)
+    index = {m: i for i, m in enumerate(basis)}
+    D = np.zeros((len(basis), len(basis)))
+    L = np.zeros_like(D)
+    for j, m in enumerate(basis):
+        for M, image in ((D, _apply_D10_mono(m)), (L, _apply_L10_mono(m))):
+            for mm, w in image.items():
+                M[index[mm], j] = w
+    return _Sector(basis, index, D, L)
 
-    Computed by exponentiating the 2^s-scaled matrix once (pure Taylor, norm
-    <= 1/2) and then applying it to the all-ones row vector 2^s times.  The
-    generator never mixes monomials of different index sums, so this left
-    iteration keeps each conserved sector's weights at a common exponential
-    scale and the functional stays relatively accurate even when the answer is
-    exponentially small — a dense squaring chain would lose those digits to
-    cross-scale roundoff.
+
+@lru_cache(maxsize=512)
+def _sector_functional(u: float, inv_N_sq: float, n: int, sigma: int) -> np.ndarray:
+    """The row functional 1^T exp(-u (D + inv_N_sq L)) on one sector.
+
+    Entry j is the expectation of the sector's j-th monomial: evaluation at
+    v == 1 after the flow.  The block is real and small, at most 210 x 210 at
+    degree 12 against 3132 for the whole basis.
     """
-    key = (u, inv_N_sq, n)
-    phi = _flow_cache.get(key)
-    if phi is None:
-        G = build_generator(GeneratorSpec(u, inv_N_sq, n), max_degree=max_degree)
-        A = -G.entries
-        norm = _l1_opnorm(A)
-        squarings = 0
-        if norm > _EXPM_SCALE_TARGET:
-            squarings = int(math.ceil(math.log2(norm / _EXPM_SCALE_TARGET)))
-        E = _expm_array(A / (2.0 ** squarings)) if squarings else _expm_array(A)
-        phi = np.ones(len(G.basis), dtype=complex)
-        for _ in range(2 ** squarings):
-            phi = phi @ E
-        _flow_cache[key] = phi
+    sec = _sector(n, sigma)
+    phi = np.ones(len(sec.basis)) @ scipy.linalg.expm(-u * (sec.D + inv_N_sq * sec.L))
+    phi.flags.writeable = False
     return phi
 
 
@@ -290,12 +278,14 @@ def finite_N_expectation(
 ) -> complex:
     """Exact expectation of a trace polynomial under the size-N heat kernel.
 
-    Computed as (exp(-u (D + N^-2 L)) p)(1) on the degree-graded basis.  At
-    N = 1 the whole algebra collapses onto powers of a single scalar and the
-    combined generator acts diagonally on that quotient (eigenvalue sigma^2/2
-    on the image of a monomial with signed index sum sigma), so the flow is
-    evaluated in closed form — the only way to keep relative accuracy when the
-    answer is as small as exp(-u k^2 / 2) for large k.
+    Computed as (exp(-u (D + N^-2 L)) p)(1), one sector at a time: the
+    monomials of p with index sum sigma are evaluated by the functional of the
+    sector of that sigma, up to the largest degree among them.  At N = 1 the
+    whole algebra collapses onto powers of a single scalar and the combined
+    generator acts diagonally on that quotient (eigenvalue sigma^2/2 on the
+    image of a monomial with signed index sum sigma), so the flow is evaluated
+    in closed form — the only way to keep relative accuracy when the answer is
+    as small as exp(-u k^2 / 2) for large k.
     """
     if N < 1:
         raise InvalidParameter("N must be a positive integer")
@@ -310,11 +300,17 @@ def finite_N_expectation(
             sigma = mono_index_sum(m)
             total += c * math.exp(-float(u) * sigma * sigma / 2.0)
         return complex(total)
-    phi = _exp_functional(float(u), 1.0 / (N * N), n, degree_cap)
-    index = _basis_index(n)
+    _warn_conditioning(u, n)
+    top: dict[int, int] = {}  # sigma -> largest degree of p in that sector
+    for m in p.terms:
+        sigma = mono_index_sum(m)
+        top[sigma] = max(top.get(sigma, 0), mono_degree(m))
+    u, inv_N_sq = float(u), 1.0 / (N * N)
     total = 0.0 + 0.0j
     for m, c in p.terms.items():
-        total += c * phi[index[m]]
+        sigma = mono_index_sum(m)
+        d = top[sigma]
+        total += c * _sector_functional(u, inv_N_sq, d, sigma)[_sector(d, sigma).index[m]]
     return complex(total)
 
 
@@ -409,8 +405,6 @@ def numerical_laplacian(p: TracePoly, U: np.ndarray, h: float = 1e-3) -> complex
     the result should match -2 * (D + N^-2 L) applied symbolically and
     evaluated at U.
     """
-    from scipy.linalg import expm as dense_expm
-
     from .trace_poly import eval_on_matrix
 
     if h <= 0:
@@ -420,8 +414,8 @@ def numerical_laplacian(p: TracePoly, U: np.ndarray, h: float = 1e-3) -> complex
     f0 = eval_on_matrix(p, U)
     total = 0.0 + 0.0j
     for X in antihermitian_basis(N):
-        step = dense_expm(h * X)
-        step_inv = dense_expm(-h * X)
+        step = scipy.linalg.expm(h * X)
+        step_inv = scipy.linalg.expm(-h * X)
         fp = eval_on_matrix(p, U @ step)
         fm = eval_on_matrix(p, U @ step_inv)
         total += (fp - 2.0 * f0 + fm) / (h * h)

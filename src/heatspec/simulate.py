@@ -258,13 +258,15 @@ def extract_spectrum(
     """Eigenvalues of Z ("circle"/"complex") or of ZZ* ("positive").
 
     Circle values are checked to be within 1e-8 of the unit circle, then
-    normalized onto it exactly.  Positive values must come out strictly
-    positive from the Hermitian solver.
+    normalized onto it exactly.  Positive values are the squared singular
+    values of Z, ascending, and must come out strictly positive.
     """
     Z = np.asarray(Z, dtype=complex)
     try:
         if kind == POSITIVE_EIG:
-            vals = np.linalg.eigvalsh(Z @ Z.conj().T)
+            # squared singular values of Z, ascending: eigvalsh(Z Z*) would
+            # square the condition number and lose the smallest ones
+            vals = np.linalg.svd(Z, compute_uv=False)[::-1] ** 2
         elif kind in (CIRCLE_EIG, COMPLEX_EIG):
             vals = np.linalg.eigvals(Z)
         else:

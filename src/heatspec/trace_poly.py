@@ -35,8 +35,6 @@ _STAR = {1: 2, 2: 1, -1: -2, -2: -1}
 # On unitaries: z -> +1 power, z^-1 -> -1, z* -> -1, z*^-1 -> +1.
 _UNITARY_POWER = {1: 1, -1: -1, 2: -1, -2: 1}
 
-_ZERO_TOL = 0.0  # symbolic ops prune exact zeros only
-
 
 def _mono_from_exps(exps: Mapping[int, int]) -> Mono:
     items = []

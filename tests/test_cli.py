@@ -139,6 +139,14 @@ def test_simulate_empty_observables(capsys):
     capsys.readouterr()
 
 
+def test_simulate_bad_spectral_index_is_parameter_error(capsys):
+    assert main([
+        "simulate", "--group", "unitary", "--N", "2", "--t", "0.5",
+        "--paths", "2", "--observables", "sv:x",
+    ]) == 2
+    assert "InvalidParameter" in capsys.readouterr().err
+
+
 def test_simulate_csv_structure_and_determinism(tmp_path, capsys):
     out = tmp_path / "dump.csv"
     argv = [
@@ -256,6 +264,11 @@ def test_variance_scan_guards(capsys):
     assert main(["variance-scan", "--Ns", " ,", "--t", "1.0"]) == 2
     assert main(["variance-scan", "--Ns", "1,4", "--t", "1.0", "--paths", "5"]) == 2
     capsys.readouterr()
+
+
+def test_variance_scan_non_integer_size_is_parameter_error(capsys):
+    assert main(["variance-scan", "--Ns", "4,a", "--t", "1.0", "--paths", "5"]) == 2
+    assert "InvalidParameter" in capsys.readouterr().err
 
 
 # -- intertwining check ------------------------------------------------------------------

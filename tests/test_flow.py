@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,6 +17,8 @@ from heatspec.errors import (
 )
 from heatspec.flow import (
     GeneratorSpec,
+    _sector,
+    _sector_functional,
     apply_D10,
     apply_L10,
     apply_operator,
@@ -259,7 +262,7 @@ def test_expectation_size_one_matches_matrix_route():
 
 
 def test_expectation_matches_dense_exponential_route():
-    # left-functional iteration vs one dense expm, N = 3
+    # sector functionals vs one dense expm, N = 3
     u, N = 0.4, 3
     from heatspec.trace_poly import eval_at_one
 
@@ -269,6 +272,61 @@ def test_expectation_matches_dense_exponential_route():
         want = eval_at_one(apply_operator(op, p))
         got = finite_N_expectation(p, u, N)
         assert got == pytest.approx(want, abs=1e-10)
+
+
+def test_expectation_warns_where_flow_is_ill_conditioned():
+    # (|u|/2) n^2 = 25 > 20 at degree 10, u = 0.5
+    with pytest.warns(ConditioningWarning):
+        finite_N_expectation(v(5) * v(-5), 0.5, 4)
+
+
+def _sector_block(u, inv_N_sq, n, sigma):
+    """u (D + inv_N_sq L) on one sector, assembled from the symbolic derivations."""
+    basis = [m for m in hp_basis(n) if mono_index_sum(m) == sigma]
+    index = {m: i for i, m in enumerate(basis)}
+    block = np.zeros((len(basis), len(basis)))
+    for j, m in enumerate(basis):
+        image = apply_D10(TracePoly({m: 1.0})) + inv_N_sq * apply_L10(TracePoly({m: 1.0}))
+        for mm, c in image.terms.items():
+            block[index[mm], j] = u * c.real
+    return basis, block
+
+
+@pytest.mark.parametrize("u", [0.25, -0.25])
+def test_sector_functional_matches_high_precision_exponential(u):
+    # degree 12, where (|u|/2) n^2 = 18 sits just inside the unwarned range;
+    # sigma = 11 is a 56-monomial sector
+    n, sigma, inv_N_sq = 12, 11, 1.0 / 64
+    basis, block = _sector_block(u, inv_N_sq, n, sigma)
+    assert _sector(n, sigma).basis == tuple(basis)
+    with mpmath.workdps(40):
+        E = mpmath.expm(-mpmath.matrix(block.tolist()))
+        want = np.array([float(mpmath.fsum(E[i, j] for i in range(E.rows))) for j in range(E.cols)])
+    got = _sector_functional(u, inv_N_sq, n, sigma)
+    assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("u", [0.6, -0.4, -1.1])
+def test_sector_functionals_match_dense_exponential(u):
+    # every sector of the degree-6 basis against one exponential of the whole generator
+    n, N = 6, 3
+    op = build_generator(GeneratorSpec(u, 1.0 / (N * N), n))
+    dense = np.ones(len(op.basis)) @ scipy.linalg.expm(-op.entries)
+    position = {m: i for i, m in enumerate(op.basis)}
+    for sigma in range(-n, n + 1):
+        sec = _sector(n, sigma)
+        want = dense[[position[m] for m in sec.basis]]
+        got = _sector_functional(u, 1.0 / (N * N), n, sigma)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_expectation_uses_lower_degree_sector_blocks():
+    # a monomial's value does not depend on the degree of the sector it is read from
+    u, N = 0.7, 4
+    p = 2.0 * v(2) * v(-1) + v(1)
+    q = p + 1e-3 * v(3) * v(-3) * v(1)  # adds a degree-7 monomial to the sigma = 1 sector
+    wq = finite_N_expectation(1e-3 * v(3) * v(-3) * v(1), u, N)
+    assert finite_N_expectation(q, u, N) - wq == pytest.approx(finite_N_expectation(p, u, N), abs=1e-13)
 
 
 def test_limit_expectation_is_moment():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import heatspec.simulate as sim
+from conftest import random_unitary
 from heatspec.errors import (
     EigFailure,
     IllConditioned,
@@ -343,6 +344,18 @@ def test_circle_spectrum_rejects_nonunitary():
 def test_positive_spectrum_rejects_singular():
     with pytest.raises(EigFailure):
         extract_spectrum(np.diag([1.0, 0.0]), POSITIVE_EIG)
+
+
+def test_positive_spectrum_keeps_small_singular_values(rng):
+    # 1-norm condition about 1e10, inside the general-linear sampler's 1e12 cap;
+    # eigenvalues of Z Z* would square it and lose the smallest values
+    N = 16
+    sv = np.geomspace(1.0, 10.0**-9.5, N)
+    Z = (random_unitary(N, rng) * sv) @ random_unitary(N, rng).conj().T
+    assert np.linalg.cond(Z, 1) > 5e9
+    got = extract_spectrum(Z, POSITIVE_EIG).values
+    want = np.sort(sv**2)
+    assert np.max(np.abs(got - want) / want) <= 1e-6
 
 
 def test_spectrum_unknown_kind():
