@@ -4,8 +4,10 @@ Samplers realize the heat-kernel measures by geometric Euler products of
 Lie-algebra Gaussian increments: unitary paths multiply exp(i sqrt(dt) H_j)
 with H_j drawn from the GUE normalization whose entry variance is 1/N, and
 general-linear paths multiply exp(sqrt(dt (s - t/2)) iH_j + sqrt(dt t/2) H'_j).
+Both samplers draw and exponentiate increments in blocks of 16 steps with one
+degree-10 Taylor exponential built from matrix products (`_expm_taylor`).
 Randomness is split per path with a counter-based generator, so path j depends
-only on (seed, j) and results are independent of execution order.
+only on (seed, j, stream) and results are independent of execution order.
 
 The rest of the module turns samples into numbers: spectral extraction,
 empirical integrals of Fourier-Laurent test functions, the test-function norms
@@ -23,9 +25,9 @@ from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
+    ConditioningWarning,
     EigFailure,
     IllConditioned,
     InvalidConfig,
@@ -128,25 +130,27 @@ def unitarity_drift(U: np.ndarray) -> float:
     return float(np.max(np.abs(U.conj().T @ U - np.eye(N))))
 
 
-def _expi_hermitian(H: np.ndarray, c: float) -> np.ndarray:
-    """exp(i c H) for a stack of Hermitian matrices H, from matrix products only.
+def _expm_taylor(X: np.ndarray) -> np.ndarray:
+    """exp(X) for a stack of square matrices X, from matrix products only.
 
     Degree-10 Taylor polynomial in Paterson-Stockmeyer form (X^2, X^3, X^4 and
-    two Horner products in X^4) with scaling by 2^-s and s squarings.  X = i c H
-    is normal, so ||X||_2 <= ||X^4||_F^(1/4); s is the least count that brings
-    this bound to 0.15 or below for every matrix of the stack, where the Taylor
-    remainder is at most 0.15^11/11! e^0.15 < 2.5e-17.
+    two Horner products in X^4) with scaling by 2^-s and s squarings.  s is the
+    least count that brings a3 = max(||X^3||_F^(1/3), ||X^4||_F^(1/4)) to 0.15
+    or below for every matrix of the stack.  Every k >= 3 * 2 is a sum of 3s
+    and 4s, so a3 bounds ||X^k||_F^(1/k) for all k >= 6 whether or not X is
+    normal (Al-Mohy and Higham 2009), and the Taylor remainder is at most
+    0.15^11/11! e^0.15 < 2.6e-17.
     """
-    X = 1j * c * H
     X2 = X @ X
     X3 = X2 @ X
     X4 = X2 @ X2
-    bound = float(np.max(np.linalg.norm(X4, axis=(-2, -1)))) ** 0.25
+    n3, n4 = (float(np.max(np.linalg.norm(Y, axis=(-2, -1)))) for Y in (X3, X4))
+    bound = max(n3 ** (1.0 / 3.0), n4 ** 0.25)
     s = math.ceil(math.log2(bound / 0.15)) if bound > 0.15 else 0
     if s:
         h = 0.5 ** s
         X, X2, X3, X4 = h * X, h ** 2 * X2, h ** 3 * X3, h ** 4 * X4
-    eye = np.eye(H.shape[-1])
+    eye = np.eye(X.shape[-1])
     f = [1.0 / math.factorial(k) for k in range(11)]
     B0 = f[0] * eye + f[1] * X + f[2] * X2 + f[3] * X3
     B1 = f[4] * eye + f[5] * X + f[6] * X2 + f[7] * X3
@@ -164,8 +168,8 @@ def sample_unitary_heat(cfg: EnsembleConfig, path_index: int) -> np.ndarray:
     Gaussian increments are drawn and exponentiated in blocks of 16 steps, one
     generator call per block, so the stream order equals a per-step draw and
     path values depend only on (seed, path_index).  Each block is exponentiated
-    by `_expi_hermitian` (degree-10 Taylor polynomial with scaling and
-    squaring, remainder below 2.5e-17), which uses matrix products only.
+    by `_expm_taylor` (degree-10 Taylor polynomial with scaling and squaring,
+    remainder below 2.6e-17), which uses matrix products only.
     """
     if cfg.group != UNITARY:
         raise InvalidConfig("config is not for the unitary group")
@@ -178,7 +182,7 @@ def sample_unitary_heat(cfg: EnsembleConfig, path_index: int) -> np.ndarray:
     for start in range(0, cfg.steps, _REUNITARIZE_EVERY):
         block = min(_REUNITARIZE_EVERY, cfg.steps - start)
         H = _hermitize(rng.standard_normal((block, 2, N, N)), N)
-        for incr in _expi_hermitian(H, root):
+        for incr in _expm_taylor(1j * root * H):
             U = U @ incr
         if block == _REUNITARIZE_EVERY:
             U = _polar_unitary(U)
@@ -200,9 +204,16 @@ def sample_gl_heat(cfg: EnsembleConfig, path_index: int) -> np.ndarray:
     """One general-linear heat-kernel sample.
 
     Per-step increment exp(sqrt(dt (s - t/2)) iH + sqrt(dt t/2) H') with
-    dt = 1/steps (the s, t parameters carry the time).  A path whose running
-    1-norm condition estimate exceeds 1e12 is resampled from a derived
-    sub-stream, at most three times, then the draw fails.
+    dt = 1/steps (the s, t parameters carry the time).  Increments are drawn
+    and exponentiated in blocks of 16 steps, one generator call per block, by
+    the same `_expm_taylor` as the unitary sampler.
+
+    Resample policy: the 1-norm condition number of the running product is
+    checked after every block.  A path above 1e12 is drawn again from the next
+    stream of the same (seed, path_index), with a `ConditioningWarning` naming
+    the path, the stream and the estimate; after three resamples the draw
+    raises `IllConditioned`.  Accepted samples therefore follow the law
+    conditioned on staying under the cap at the checks.
     """
     if cfg.group != GENERAL_LINEAR:
         raise InvalidConfig("config is not for the general-linear group")
@@ -212,19 +223,19 @@ def sample_gl_heat(cfg: EnsembleConfig, path_index: int) -> np.ndarray:
     c_str = math.sqrt(dt * cfg.t / 2.0)
     for stream in range(_MAX_RETRIES + 1):
         rng = path_rng(cfg.seed, path_index, stream=stream)
-        draws = rng.standard_normal((cfg.steps, 2, 2, N, N))
-        H = _hermitize(draws[:, 0], N)
-        H2 = _hermitize(draws[:, 1], N)
-        incr = scipy.linalg.expm(1j * c_rot * H + c_str * H2)
         Z = np.eye(N, dtype=complex)
-        ok = True
-        for j in range(cfg.steps):
-            Z = Z @ incr[j]
-            if (j + 1) % _REUNITARIZE_EVERY == 0 and _cond_1norm(Z) > _CONDITION_CAP:
-                ok = False
+        for start in range(0, cfg.steps, _REUNITARIZE_EVERY):
+            block = min(_REUNITARIZE_EVERY, cfg.steps - start)
+            H = _hermitize(rng.standard_normal((block, 2, 2, N, N)), N)
+            for incr in _expm_taylor(1j * c_rot * H[:, 0] + c_str * H[:, 1]):
+                Z = Z @ incr
+            if (cond := _cond_1norm(Z)) > _CONDITION_CAP:
                 break
-        if ok and _cond_1norm(Z) <= _CONDITION_CAP:
+        else:
             return Z
+        if stream < _MAX_RETRIES:
+            msg = f"path {path_index}, stream {stream}: condition estimate {cond:.3g}; resampling"
+            warnings.warn(msg, ConditioningWarning, stacklevel=2)
     raise IllConditioned(
         f"path {path_index}: condition estimate above {_CONDITION_CAP:.0e} "
         f"after {_MAX_RETRIES} resamples"

@@ -99,10 +99,8 @@ class TracePoly:
         clean: dict[Mono, complex] = {}
         if terms:
             for m, c in terms.items():
-                c = complex(c)
-                if c != 0:
-                    clean[tuple(m)] = clean.get(tuple(m), 0) + c
-        # re-prune in case duplicate inputs cancelled
+                clean[tuple(m)] = clean.get(tuple(m), 0) + complex(c)
+        # prunes zero inputs and duplicates that cancelled
         self.terms = {m: c for m, c in clean.items() if c != 0}
 
     # -- constructors ------------------------------------------------------

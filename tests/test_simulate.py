@@ -9,10 +9,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import heatspec.simulate as sim
 from conftest import random_unitary
 from heatspec.errors import (
+    ConditioningWarning,
     EigFailure,
     IllConditioned,
     InvalidConfig,
@@ -189,8 +191,20 @@ def test_taylor_exponential_matches_eigendecomposition(N, c):
     H = sim._hermitize(np.random.default_rng(N).standard_normal((16, 2, N, N)), N)
     if c >= 1.0:  # spectral radius of cH far above 0.15: scaling and squaring run
         assert c * np.max(np.abs(np.linalg.eigvalsh(H))) > 0.6
-    got = sim._expi_hermitian(H, c)
+    got = sim._expm_taylor(1j * c * H)
     assert np.max(np.abs(got - _expi_by_eigh(H, c))) <= 1e-13
+
+
+@pytest.mark.parametrize("c", [0.05, 0.5, 3.0])
+def test_taylor_exponential_matches_scipy_on_non_normal_stacks(c):
+    # general-linear increments i c H + c H' are not normal; at c = 0.5 and 3
+    # the bound exceeds 0.15 and scaling and squaring run
+    H = sim._hermitize(np.random.default_rng(7).standard_normal((8, 2, 2, 6, 6)), 6)
+    X = 1j * c * H[:, 0] + c * H[:, 1]
+    got = sim._expm_taylor(X)
+    for k in range(len(X)):
+        want = scipy.linalg.expm(X[k])
+        assert np.max(np.abs(got[k] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_unitary_sampler_matches_per_step_reference():
@@ -211,6 +225,48 @@ def test_unitary_sampler_matches_per_step_reference():
 # -- general-linear sampler --------------------------------------------------------
 
 
+def _gl_by_expm(cfg, path_index, stream=0):
+    # per-step reference: two GUE draws and one scipy.linalg.expm per step
+    dt = 1.0 / cfg.steps
+    c_rot = math.sqrt(dt * (cfg.s - cfg.t / 2.0))
+    c_str = math.sqrt(dt * cfg.t / 2.0)
+    rng = path_rng(cfg.seed, path_index, stream=stream)
+    Z = np.eye(cfg.N, dtype=complex)
+    for _ in range(cfg.steps):
+        H = sample_gue(cfg.N, rng)
+        H2 = sample_gue(cfg.N, rng)
+        Z = Z @ scipy.linalg.expm(1j * c_rot * H + c_str * H2)
+    return Z
+
+
+def test_gl_sampler_matches_per_step_reference():
+    # 37 steps: two full blocks and a partial one
+    cfg = EnsembleConfig(group=GENERAL_LINEAR, N=5, t=0.5, s=1.0, steps=37, seed=4)
+    for j in (0, 3):
+        Z = _gl_by_expm(cfg, j)
+        assert np.max(np.abs(sample_gl_heat(cfg, j) - Z)) <= 1e-12 * np.max(np.abs(Z))
+
+
+def test_gl_resample_warns_and_uses_next_stream(monkeypatch):
+    # the first condition check (stream 0, first block) fails; the rest pass
+    real = sim._cond_1norm
+    calls = []
+
+    def fake(Z):
+        calls.append(1)
+        return math.inf if len(calls) == 1 else real(Z)
+
+    monkeypatch.setattr(sim, "_cond_1norm", fake)
+    cfg = EnsembleConfig(group=GENERAL_LINEAR, N=4, t=0.5, s=1.0, steps=20, seed=6)
+    with pytest.warns(ConditioningWarning) as record:
+        Z = sample_gl_heat(cfg, 2)
+    assert len(record) == 1
+    message = str(record[0].message)
+    assert "path 2" in message and "stream 0" in message and "inf" in message
+    want = _gl_by_expm(cfg, 2, stream=1)
+    assert np.max(np.abs(Z - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_gl_sampler_is_deterministic():
     cfg = EnsembleConfig(group=GENERAL_LINEAR, N=3, t=0.5, s=1.0, steps=20, seed=2)
     assert np.array_equal(sample_gl_heat(cfg, 4), sample_gl_heat(cfg, 4))
@@ -226,8 +282,9 @@ def test_gl_sampler_group_guard():
 def test_gl_ill_conditioned_after_retries(monkeypatch):
     monkeypatch.setattr(sim, "_CONDITION_CAP", 0.5)  # below cond(anything) = 1
     cfg = EnsembleConfig(group=GENERAL_LINEAR, N=2, t=0.5, s=1.0, steps=3, seed=0)
-    with pytest.raises(IllConditioned):
+    with pytest.warns(ConditioningWarning) as record, pytest.raises(IllConditioned):
         sample_gl_heat(cfg, 0)
+    assert len(record) == 3  # one per resample
 
 
 def test_gl_mean_trace_and_stretch_moment():
