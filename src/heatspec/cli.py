@@ -25,16 +25,20 @@ from .density import CircleDensity, LineDensity, positive_support
 from .errors import HeatspecError, InvalidConfig, InvalidParameter
 from .flow import finite_N_covariance_unitary, finite_N_expectation, intertwined_laplacian, limit_expectation, numerical_laplacian
 from .moments import SAFE_MAX_N, moment_table
-from .simulate import EnsembleConfig, TestFunction, mc_experiment, path_rng
-from .trace_poly import parse_poly, tp_mul, v
+from .simulate import EnsembleConfig, TestFunction, haar_unitary, mc_experiment, path_rng
+from .trace_poly import parse_poly, v
+
+
+def _flags(ns: argparse.Namespace) -> dict:
+    """The resolved flag set, sorted by name."""
+    return {k: val for k, val in sorted(vars(ns).items()) if k not in ("func", "command")}
 
 
 def _manifest(name: str, ns: argparse.Namespace, t0: float) -> dict:
-    flags = {k: val for k, val in sorted(vars(ns).items()) if k not in ("func", "command")}
     return {
         "subcommand": name,
-        "flags": flags,
-        "seed": flags.get("seed"),
+        "flags": _flags(ns),
+        "seed": getattr(ns, "seed", None),
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - t0, 6),
     }
@@ -42,8 +46,7 @@ def _manifest(name: str, ns: argparse.Namespace, t0: float) -> dict:
 
 def _manifest_comment(name: str, ns: argparse.Namespace) -> str:
     """Deterministic manifest line for CSV headers (no wall time)."""
-    flags = {k: val for k, val in sorted(vars(ns).items()) if k not in ("func", "command")}
-    body = ", ".join(f"{k}={val}" for k, val in flags.items())
+    body = ", ".join(f"{k}={val}" for k, val in _flags(ns).items())
     return f"# manifest: subcommand={name}, version={__version__}, {body}"
 
 
@@ -263,23 +266,15 @@ def cmd_variance_scan(ns: argparse.Namespace) -> int:
 # -- intertwining check -------------------------------------------------------------
 
 
-def _haar_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
-    draws = rng.standard_normal((2, N, N))
-    G = (draws[0] + 1j * draws[1]) / math.sqrt(2.0)
-    Q, R = np.linalg.qr(G)
-    d = np.diagonal(R)
-    return Q * (d / np.abs(d))
-
-
 def cmd_check_intertwine(ns: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     if ns.hstep <= 0:
         raise InvalidConfig("--hstep must be positive")
     if ns.N < 1:
         raise InvalidConfig("--N must be a positive integer")
-    cases = [("v2", v(2)), ("v3", v(3)), ("v2*v3", tp_mul(v(2), v(3)))]
+    cases = [("v2", v(2)), ("v3", v(3)), ("v2*v3", v(2) * v(3))]
     rng = path_rng(ns.seed, 0)
-    U = _haar_unitary(ns.N, rng)
+    U = haar_unitary(ns.N, rng)
 
     reports = []
     all_pass = True

@@ -11,11 +11,18 @@ with respect to Lebesgue measure, where z is the unique upper-half-plane root of
 
     z/(z - 1) * exp(-τ (z - 1/2)) = x.
 
-Both equations are solved by damped Newton iteration with continuation: the
-circle sweep marches in θ from the closed-form-seeded real root at θ = 0,
-the line sweep marches in log x from the left support edge, whose root is a
-perturbation of the defining equation's branch point.  Each solver instance
-owns its continuation cache; instances are cheap and single-sweep by design.
+Both densities come from one continuation scheme.  A root of map(z) = target
+is followed along a real march parameter p by damped Newton iteration on
+log(map(z)/target), starting from the nearest root already solved, in steps
+of at most a law-specific size that halve on failure.  The circle law
+marches in θ (target e^{iθ}) from the real root at θ = 0, found by
+bisection; the line law marches in s = log x (target x = e^s) from just
+inside the left support edge, whose root is a perturbation of the defining
+equation's branch point.  Every root returned satisfies its defining
+equation to 1e−12 in absolute terms; a march that stalls within 1e−6 of a
+support edge reports density 0 there, and negative densities no lower than
+−1e−12 are roundoff and read 0.  Each solver instance owns its continuation
+cache; instances are cheap and single-sweep by design.
 """
 
 from __future__ import annotations
@@ -24,11 +31,11 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 
 from .errors import InvalidParameter, NoConvergence
 
-_THETA_STEP = math.pi / 512  # max continuation step on the circle
-_LOG_STEP = 0.02  # max continuation step in log x on the line
 _LOG_TOL = 1e-13  # Newton tolerance on the logarithmic residual
 _RESIDUAL_CAP = 1e-12  # contract: defining equation satisfied to this accuracy
 _EDGE_STALL = 1e-6  # stalls this close to a support edge report density 0
@@ -91,28 +98,151 @@ def positive_support(tau: float) -> IntervalSupport:
     return IntervalSupport(r_minus, r_plus)
 
 
-class CircleDensity:
+class _Continuation:
+    """Continuation solver for the root of map(z) = target(p) on one branch.
+
+    A subclass supplies the defining map ``_map`` and its log-derivative
+    ``_dlog``, two singular points with the radius inside which Newton gives
+    up (``_singular``), the target as a function of the real march parameter p
+    (``_target``), the part of z that is positive on the branch
+    (``_branch_part``) and the re-seeds tried when a step lands off the
+    branch (``_reseeds``), the largest march step (``_max_step``), a seed
+    root (``_start``), the distance of p from a support edge (``_edge_gap``),
+    and a public ``root`` that maps its argument to (p, target) for
+    ``_root``.  Solved roots are cached sorted by p; a new p marches from the
+    nearest cached one, halving the step on failure.
+    """
+
+    _law: str  # law and parameter, for error messages
+    _param: str  # name of the march parameter, for error messages
+    _max_step: float
+    _singular: tuple  # ((point, radius), (point, radius))
+
+    def _start(self, p: float, z: complex) -> None:
+        self._keys = [p]  # sorted march parameters of the cached roots
+        self._roots = [z]
+
+    def _newton(self, z: complex, target: complex) -> complex | None:
+        """Damped Newton on log(map(z)/target); None if it fails to converge."""
+        (a, ra), (b, rb) = self._singular
+        for _ in range(80):
+            if abs(z - a) < ra or abs(z - b) < rb:
+                return None
+            m = self._map(z)
+            w = m / target
+            if w == 0.0 or cmath.isinf(w) or cmath.isnan(w):
+                return None
+            r = cmath.log(w)
+            if abs(r) < _LOG_TOL:
+                break
+            dz = -r / self._dlog(z)
+            mag = abs(dz)
+            if mag > 0.5:
+                dz *= 0.5 / mag
+            z = z + dz
+        else:
+            return None
+        # the log residual is relative: where |target| is large, polish the
+        # absolute residual the contract is stated in
+        res = m - target
+        if abs(res) > 0.25 * _RESIDUAL_CAP:
+            for _ in range(3):
+                z = z - res / (m * self._dlog(z))
+                m = self._map(z)
+                res = m - target
+                if abs(res) <= 0.25 * _RESIDUAL_CAP:
+                    break
+        return z
+
+    def _root(self, p: float, target: complex) -> complex:
+        """The branch root at march parameter p, with |map(z) − target| ≤ 1e−12."""
+        keys = self._keys
+        i = bisect.bisect_left(keys, p)
+        if i < len(keys) and keys[i] == p:
+            z = self._roots[i]
+        else:
+            try:
+                z = self._march(p, i)
+            except NoConvergence:
+                if self._edge_gap(p, target) <= _EDGE_STALL:
+                    return complex(0.0)  # defective edge root; density vanishes there
+                raise
+        if abs(self._map(z) - target) > _RESIDUAL_CAP:
+            raise NoConvergence(f"{self._law}: residual contract violated")
+        return z
+
+    def _march(self, p: float, i: int) -> complex:
+        # from the nearest cached parameter (i is p's insertion index), in
+        # steps that halve on failure and grow back to _max_step on success
+        keys, roots = self._keys, self._roots
+        candidates = [j for j in (i - 1, i) if 0 <= j < len(keys)]
+        anchor = min(candidates, key=lambda j: abs(keys[j] - p))
+        cur, z = keys[anchor], roots[anchor]
+
+        step = self._max_step
+        while cur != p:
+            nxt = min(p, cur + step) if p > cur else max(p, cur - step)
+            target = self._target(nxt)
+            z_try = self._newton(z, target)
+            if z_try is not None and self._branch_part(z_try) <= 0.0:
+                for seed in self._reseeds(z):
+                    z_try = self._newton(seed, target)
+                    if z_try is not None and self._branch_part(z_try) > 0.0:
+                        break
+            if z_try is None or self._branch_part(z_try) <= 0.0:
+                step *= 0.5
+                if step < 1e-13:
+                    raise NoConvergence(
+                        f"{self._law}: continuation stalled at {self._param} = {cur:.6g} "
+                        f"(target {p:.6g})"
+                    )
+                continue
+            cur, z = nxt, z_try
+            step = min(self._max_step, step * 2.0)
+            k = bisect.bisect_left(keys, cur)
+            if k == len(keys) or keys[k] != cur:
+                keys.insert(k, cur)
+                roots.insert(k, z)
+        return z
+
+    def _clamp_negative(self, val: float) -> float:
+        # negative densities down to _NEG_CLAMP are roundoff
+        if val < _NEG_CLAMP:
+            raise NoConvergence(f"{self._law}: density came out negative")
+        return 0.0
+
+
+class CircleDensity(_Continuation):
     """Continuation solver for the circle-law density at a fixed t > 0.
 
-    Instances cache solved roots keyed by |θ| and reuse the nearest one as the
-    Newton seed for new angles, marching in steps of at most π/512.
+    Marches in θ ≥ 0 (the density is even) with target e^{iθ}, in steps of at
+    most π/512, from the real root at θ = 0; the root has Re z > 0.
     """
+
+    _param = "angle"
+    _max_step = math.pi / 512
+    _singular = ((-1.0, 1e-12), (1.0, 1e-300))
+    _target = staticmethod(partial(cmath.rect, 1.0))  # e^{iθ}
+    _branch_part = attrgetter("real")
 
     def __init__(self, t: float):
         if t <= 0.0:
             raise InvalidParameter("circle law requires t > 0")
         self.t = float(t)
+        self._law = f"circle law (t={self.t})"
         self.support = unitary_support(self.t)
-        z0 = self._seed_at_origin()
-        self._thetas = [0.0]  # sorted cache keys (nonnegative angles)
-        self._roots = [z0]
+        self._start(0.0, self._seed_at_origin())
 
-    # the defining map, its log-residual at angle theta, and the log-derivative
     def _map(self, z: complex) -> complex:
         return (z - 1.0) / (z + 1.0) * cmath.exp(0.5 * self.t * z)
 
     def _dlog(self, z: complex) -> complex:
         return 2.0 / (z * z - 1.0) + 0.5 * self.t
+
+    @staticmethod
+    def _reseeds(z: complex) -> tuple:
+        # perturbed seeds biased into Re z > 0
+        return (z + 0.05, z * (1.0 + 0.03 + 0.04j), z.conjugate() + 0.1)
 
     def _seed_at_origin(self) -> complex:
         # real root of (x-1)/(x+1)e^{tx/2} = 1 on (1, 1 + 40/t]: the map is 0 at
@@ -134,108 +264,47 @@ class CircleDensity:
                 hi = mid
             if hi - lo < 1e-16 * hi:
                 break
-        z = complex(0.5 * (lo + hi))
-        out = self._newton(z, 0.0)
+        out = self._newton(complex(0.5 * (lo + hi)), 1.0)
         if out is None:
             raise NoConvergence("origin root polish failed for the circle law")
         return out
 
-    def _newton(self, z: complex, theta: float) -> complex | None:
-        rot = cmath.exp(-1j * theta)
-        for _ in range(80):
-            if abs(z + 1.0) < 1e-12 or abs(z * z - 1.0) < 1e-300:
-                return None
-            w = self._map(z) * rot
-            if w == 0.0 or cmath.isinf(w) or cmath.isnan(w):
-                return None
-            r = cmath.log(w)
-            if abs(r) < _LOG_TOL:
-                return z
-            dz = -r / self._dlog(z)
-            mag = abs(dz)
-            if mag > 0.5:
-                dz *= 0.5 / mag
-            z = z + dz
-        return None
-
-    def _solve_cached(self, theta: float) -> complex:
-        # nearest cached angle as the continuation anchor
-        i = bisect.bisect_left(self._thetas, theta)
-        if i < len(self._thetas) and self._thetas[i] == theta:
-            return self._roots[i]
-        candidates = [j for j in (i - 1, i) if 0 <= j < len(self._thetas)]
-        anchor = min(candidates, key=lambda j: abs(self._thetas[j] - theta))
-        cur_t, z = self._thetas[anchor], self._roots[anchor]
-
-        step = _THETA_STEP
-        while cur_t != theta:
-            nxt = min(theta, cur_t + step) if theta > cur_t else max(theta, cur_t - step)
-            z_try = self._newton(z, nxt)
-            if z_try is not None and z_try.real <= 0.0:
-                # wrong branch: retry from perturbed seeds biased into Re z > 0
-                for seed in (z + 0.05, z * (1.0 + 0.03 + 0.04j), z.conjugate() + 0.1):
-                    z_try = self._newton(seed, nxt)
-                    if z_try is not None and z_try.real > 0.0:
-                        break
-            if z_try is None or z_try.real <= 0.0:
-                step *= 0.5
-                if step < 1e-13:
-                    raise NoConvergence(
-                        f"circle-law continuation stalled at angle {cur_t:.6f} "
-                        f"(target {theta:.6f}, t={self.t})"
-                    )
-                continue
-            cur_t, z = nxt, z_try
-            step = min(_THETA_STEP, step * 2.0)
-            k = bisect.bisect_left(self._thetas, cur_t)
-            if k == len(self._thetas) or self._thetas[k] != cur_t:
-                self._thetas.insert(k, cur_t)
-                self._roots.insert(k, z)
-        return z
+    def _edge_gap(self, theta: float, target: complex) -> float:
+        return self.support.half_width - theta
 
     def root(self, theta: float) -> complex:
         """The Re z > 0 root at angle θ, residual ≤ 1e−12 on the defining map."""
         th = abs(math.remainder(float(theta), 2.0 * math.pi))
-        try:
-            z = self._solve_cached(th)
-        except NoConvergence:
-            if self.support.half_width - th <= _EDGE_STALL:
-                return complex(0.0)  # defective edge root; density vanishes there
-            raise
-        if abs(self._map(z) - cmath.exp(1j * th)) > _RESIDUAL_CAP:
-            raise NoConvergence("circle-law residual contract violated")
-        return z
+        return self._root(th, self._target(th))
 
     def __call__(self, theta: float) -> float:
         th = abs(math.remainder(float(theta), 2.0 * math.pi))
         if self.t < 4.0 and th >= self.support.half_width:
             return 0.0
-        z = self.root(th)
-        val = z.real
-        if val < 0.0:
-            if val < _NEG_CLAMP:
-                raise NoConvergence("circle-law density came out negative")
-            val = 0.0
-        return val
+        val = self.root(th).real
+        return val if val >= 0.0 else self._clamp_negative(val)
 
 
-class LineDensity:
+class LineDensity(_Continuation):
     """Continuation solver for the positive-line-law density at a fixed τ < 0.
 
-    Marches in log x from the left support edge, where the root branches off
-    z_- = (1 − √(1−4/τ))/2 into the upper half plane.
+    Marches in s = log x with target x = e^s, in steps of at most 0.02, from
+    just inside the left support edge, where the root branches off
+    z_- = (1 − √(1−4/τ))/2 into the upper half plane; the root has Im z > 0.
     """
+
+    _param = "log x"
+    _max_step = 0.02
+    _singular = ((0.0, 1e-300), (1.0, 1e-300))
+    _target = staticmethod(math.exp)
+    _branch_part = attrgetter("imag")
 
     def __init__(self, tau: float):
         if tau >= 0.0:
             raise InvalidParameter("positive-line law requires tau < 0")
         self.tau = float(tau)
+        self._law = f"line law (tau={self.tau})"
         self.support = positive_support(self.tau)
-        g = math.sqrt(1.0 - 4.0 / self.tau)
-        self._z_minus = (1.0 - g) / 2.0
-        self._z_plus = (1.0 + g) / 2.0
-        self._logx = []  # sorted cache keys: log x
-        self._roots = []
         self._seed_interior()
 
     def _map(self, z: complex) -> complex:
@@ -244,95 +313,35 @@ class LineDensity:
     def _dlog(self, z: complex) -> complex:
         return 1.0 / z - 1.0 / (z - 1.0) - self.tau
 
-    def _newton(self, z: complex, x: float) -> complex | None:
-        for _ in range(80):
-            if abs(z) < 1e-300 or abs(z - 1.0) < 1e-300:
-                return None
-            w = self._map(z) / x
-            if w == 0.0 or cmath.isinf(w) or cmath.isnan(w):
-                return None
-            r = cmath.log(w)
-            if abs(r) < _LOG_TOL:
-                break
-            dz = -r / self._dlog(z)
-            mag = abs(dz)
-            if mag > 0.5:
-                dz *= 0.5 / mag
-            z = z + dz
-        else:
-            return None
-        # polish the absolute residual (the log form is only relative)
-        for _ in range(3):
-            res = self._map(z) - x
-            if abs(res) <= 0.25 * _RESIDUAL_CAP:
-                break
-            z = z - res / (self._map(z) * self._dlog(z))
-        return z
+    @staticmethod
+    def _reseeds(z: complex) -> tuple:
+        return (z + 0.05j * max(1.0, abs(z)), z * (1.0 + 0.05j))
 
     def _seed_interior(self):
+        z_minus = (1.0 - math.sqrt(1.0 - 4.0 / self.tau)) / 2.0
         x0 = self.support.r_minus * math.exp(0.01)
-        scale = max(1.0, abs(self._z_minus))
+        scale = max(1.0, abs(z_minus))
         for eps in (1e-4, 1e-3, 1e-2, 1e-1):
-            z = self._newton(complex(self._z_minus, eps * scale), x0)
+            z = self._newton(complex(z_minus, eps * scale), x0)
             if z is not None and z.imag > 0.0:
-                self._logx = [math.log(x0)]
-                self._roots = [z]
+                self._start(math.log(x0), z)
                 return
         raise NoConvergence(
             f"left-edge seeding failed for the positive-line law at tau={self.tau}"
         )
 
-    def _solve_cached(self, x: float) -> complex:
-        lx = math.log(x)
-        i = bisect.bisect_left(self._logx, lx)
-        if i < len(self._logx) and self._logx[i] == lx:
-            return self._roots[i]
-        candidates = [j for j in (i - 1, i) if 0 <= j < len(self._logx)]
-        anchor = min(candidates, key=lambda j: abs(self._logx[j] - lx))
-        cur_l, z = self._logx[anchor], self._roots[anchor]
-
-        step = _LOG_STEP
-        while cur_l != lx:
-            nxt = min(lx, cur_l + step) if lx > cur_l else max(lx, cur_l - step)
-            z_try = self._newton(z, math.exp(nxt))
-            if z_try is not None and z_try.imag <= 0.0:
-                for seed in (z + 0.05j * max(1.0, abs(z)), z * (1.0 + 0.05j)):
-                    z_try = self._newton(seed, math.exp(nxt))
-                    if z_try is not None and z_try.imag > 0.0:
-                        break
-            if z_try is None or z_try.imag <= 0.0:
-                step *= 0.5
-                if step < 1e-13:
-                    raise NoConvergence(
-                        f"line-law continuation stalled at x={math.exp(cur_l):.6g} "
-                        f"(target {x:.6g}, tau={self.tau})"
-                    )
-                continue
-            cur_l, z = nxt, z_try
-            step = min(_LOG_STEP, step * 2.0)
-            k = bisect.bisect_left(self._logx, cur_l)
-            if k == len(self._logx) or self._logx[k] != cur_l:
-                self._logx.insert(k, cur_l)
-                self._roots.insert(k, z)
-        return z
+    def _edge_gap(self, s: float, x: float) -> float:
+        return min(
+            abs(x - self.support.r_minus) / max(1.0, self.support.r_minus),
+            abs(self.support.r_plus - x) / max(1.0, self.support.r_plus),
+        )
 
     def root(self, x: float) -> complex:
         """The Im z > 0 root at x, residual ≤ 1e−12 on the defining map."""
         if x <= 0.0:
             raise InvalidParameter("positive-line law is supported on x > 0")
-        try:
-            z = self._solve_cached(float(x))
-        except NoConvergence:
-            edge_gap = min(
-                abs(x - self.support.r_minus) / max(1.0, self.support.r_minus),
-                abs(self.support.r_plus - x) / max(1.0, self.support.r_plus),
-            )
-            if edge_gap <= _EDGE_STALL:
-                return complex(0.0)
-            raise
-        if abs(self._map(z) - x) > _RESIDUAL_CAP:
-            raise NoConvergence("line-law residual contract violated")
-        return z
+        x = float(x)
+        return self._root(math.log(x), x)
 
     def __call__(self, x: float) -> float:
         x = float(x)
@@ -342,13 +351,8 @@ class LineDensity:
         eps_hi = _EDGE_STALL * max(1.0, self.support.r_plus)
         if x <= self.support.r_minus + eps_lo or x >= self.support.r_plus - eps_hi:
             return 0.0
-        z = self.root(x)
-        val = z.imag / (math.pi * x)
-        if val < 0.0:
-            if val < _NEG_CLAMP:
-                raise NoConvergence("line-law density came out negative")
-            val = 0.0
-        return val
+        val = self.root(x).imag / (math.pi * x)
+        return val if val >= 0.0 else self._clamp_negative(val)
 
 
 def unitary_density(theta: float, t: float, *, solver: CircleDensity | None = None) -> float:

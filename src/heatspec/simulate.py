@@ -119,6 +119,18 @@ def sample_gue(N: int, rng: np.random.Generator) -> np.ndarray:
     return _hermitize(rng.standard_normal((2, N, N)), N)
 
 
+def haar_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary: QR of a complex Ginibre matrix, with the
+    phases of R's diagonal moved into Q."""
+    if N < 1:
+        raise InvalidParameter("N must be a positive integer")
+    draws = rng.standard_normal((2, N, N))
+    G = (draws[0] + 1j * draws[1]) / math.sqrt(2.0)
+    Q, R = np.linalg.qr(G)
+    d = np.diagonal(R)
+    return Q * (d / np.abs(d))
+
+
 def _polar_unitary(U: np.ndarray) -> np.ndarray:
     w, _, vh = np.linalg.svd(U)
     return w @ vh
@@ -335,15 +347,9 @@ def _gevrey_norm(f: TestFunction, sigma: float) -> float:
     total = 0.0
     for k, c in f.coeffs:
         try:
-            w = math.exp(2.0 * sigma * k * k)
+            total += math.exp(2.0 * sigma * k * k) * abs(c) ** 2
         except OverflowError:
-            warnings.warn(
-                f"super-analytic weight overflowed at index {k}; norm reported infinite",
-                PrecisionWarning,
-                stacklevel=3,
-            )
-            return math.inf
-        total += w * abs(c) ** 2
+            total = math.inf
         if math.isinf(total):
             warnings.warn(
                 f"super-analytic weight overflowed at index {k}; norm reported infinite",

@@ -190,11 +190,6 @@ def v(k: int) -> TracePoly:
     return TracePoly({((k, 1),): 1.0})
 
 
-def tp_mul(a: TracePoly, b: TracePoly) -> TracePoly:
-    """Commutative product (same as a * b)."""
-    return _coerce(a) * _coerce(b)
-
-
 def trace_degree(p: TracePoly) -> int:
     """Max over monomials of sum |index|*exponent; 0 for constants and 0."""
     if not p.terms:

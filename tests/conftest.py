@@ -42,11 +42,3 @@ def poly_strategy(max_index: int = 3, max_exp: int = 2, max_terms: int = 3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-def random_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
-    draws = rng.standard_normal((2, N, N))
-    G = (draws[0] + 1j * draws[1]) / np.sqrt(2.0)
-    Q, R = np.linalg.qr(G)
-    d = np.diagonal(R)
-    return Q * (d / np.abs(d))

@@ -213,6 +213,18 @@ def test_line_density_unimodal():
     assert changes == 1
 
 
+@pytest.mark.parametrize("tau", [-2.0, -5.0])
+def test_line_root_meets_absolute_residual_at_large_x(tau):
+    # r_+ is about 21 (tau = -2) and 196 (tau = -5), so the 1e-13 tolerance on
+    # the log residual alone is too loose for an absolute 1e-12 residual
+    solver = LineDensity(tau)
+    sup = solver.support
+    xs = np.exp(np.linspace(math.log(sup.r_minus), math.log(sup.r_plus), 402)[1:-1])
+    for x in xs:
+        z = solver.root(float(x))
+        assert abs(solver._map(z) - x) <= 1e-12
+
+
 def test_line_solver_mismatch_guard():
     with pytest.raises(InvalidParameter):
         positive_density(1.0, -2.0, solver=LineDensity(-1.0))

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings
 
-from conftest import poly_strategy, random_unitary
+from conftest import poly_strategy
 from heatspec.errors import (
     ConditioningWarning,
     DegreeCapExceeded,
@@ -35,12 +35,12 @@ from heatspec.flow import (
     refined_bound,
 )
 from heatspec.moments import nu_moment
+from heatspec.simulate import haar_unitary
 from heatspec.trace_poly import (
     TracePoly,
     l1_norm,
     mono_degree,
     mono_index_sum,
-    tp_mul,
     trace_degree,
     v,
 )
@@ -68,7 +68,7 @@ def test_first_order_kills_constants():
 @given(poly_strategy(), poly_strategy())
 @settings(max_examples=40, deadline=None)
 def test_first_order_is_a_derivation(p, q):
-    lhs = apply_D10(tp_mul(p, q))
+    lhs = apply_D10(p * q)
     rhs = apply_D10(p) * q + p * apply_D10(q)
     diff = lhs - rhs
     assert l1_norm(diff) <= 1e-9 * max(1.0, l1_norm(lhs) + l1_norm(rhs))
@@ -345,7 +345,7 @@ def test_limit_expectation_mixed_monomial():
 @settings(max_examples=40, deadline=None)
 def test_limit_expectation_is_homomorphism(p, q):
     t = 0.6
-    lhs = limit_expectation(tp_mul(p, q), t)
+    lhs = limit_expectation(p * q, t)
     rhs = limit_expectation(p, t) * limit_expectation(q, t)
     assert lhs == pytest.approx(rhs, abs=1e-9 * max(1.0, l1_norm(p) * l1_norm(q)))
 
@@ -428,7 +428,7 @@ def test_bounds_decay_quadratically_in_size():
 
 
 def test_intertwining_matches_finite_differences(rng):
-    U = random_unitary(3, rng)
+    U = haar_unitary(3, rng)
     p = v(2) * v(3)
     fd = numerical_laplacian(p, U, h=1e-3)
     op = intertwined_laplacian(p, U)
@@ -436,6 +436,6 @@ def test_intertwining_matches_finite_differences(rng):
 
 
 def test_numerical_laplacian_step_guard(rng):
-    U = random_unitary(2, rng)
+    U = haar_unitary(2, rng)
     with pytest.raises(InvalidParameter):
         numerical_laplacian(v(1), U, h=0.0)

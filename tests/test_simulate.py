@@ -12,7 +12,6 @@ import pytest
 import scipy.linalg
 
 import heatspec.simulate as sim
-from conftest import random_unitary
 from heatspec.errors import (
     ConditioningWarning,
     EigFailure,
@@ -34,6 +33,7 @@ from heatspec.simulate import (
     TestFunction,
     empirical_integral,
     extract_spectrum,
+    haar_unitary,
     lp_norm_trace,
     mc_experiment,
     path_rng,
@@ -408,7 +408,7 @@ def test_positive_spectrum_keeps_small_singular_values(rng):
     # eigenvalues of Z Z* would square it and lose the smallest values
     N = 16
     sv = np.geomspace(1.0, 10.0**-9.5, N)
-    Z = (random_unitary(N, rng) * sv) @ random_unitary(N, rng).conj().T
+    Z = (haar_unitary(N, rng) * sv) @ haar_unitary(N, rng).conj().T
     assert np.linalg.cond(Z, 1) > 5e9
     got = extract_spectrum(Z, POSITIVE_EIG).values
     want = np.sort(sv**2)
@@ -476,6 +476,12 @@ def test_gevrey_norm_overflow_is_infinite_with_warning():
     f = TestFunction.chi(30)
     with pytest.warns(PrecisionWarning):
         norms = test_function_norms(f, p=1.25, sigma=10.0)
+    assert math.isinf(norms.gevrey)
+    # each weight e^{709.5} ~ 1.35e308 is finite; their sum is not
+    f = TestFunction.from_dict({-1: 1.0, 1: 1.0})
+    assert math.isfinite(math.exp(709.5))
+    with pytest.warns(PrecisionWarning):
+        norms = test_function_norms(f, p=1.25, sigma=709.5 / 2.0)
     assert math.isinf(norms.gevrey)
 
 

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import poly_strategy, random_unitary
+from conftest import poly_strategy
 from heatspec.errors import InvalidParameter, PolyParseError, SingularMatrix
+from heatspec.simulate import haar_unitary
 from heatspec.trace_poly import (
     TracePoly,
     WordPoly,
@@ -21,7 +22,6 @@ from heatspec.trace_poly import (
     mono_index_sum,
     parse_poly,
     star_poly,
-    tp_mul,
     trace_degree,
     unitary_reduce,
     v,
@@ -33,17 +33,17 @@ from heatspec.trace_poly import (
 
 
 def test_product_of_generators():
-    p = tp_mul(v(1), v(-1))
+    p = v(1) * v(-1)
     assert p.terms == {((-1, 1), (1, 1)): 1.0}
 
 
 def test_one_is_multiplicative_identity():
     p = 3 * v(2) * v(-1) + v(1)
-    assert tp_mul(TracePoly.one(), p) == p
+    assert TracePoly.one() * p == p
 
 
 def test_difference_of_squares():
-    assert tp_mul(v(2) + 1, v(2) - 1) == v(2) ** 2 - 1
+    assert (v(2) + 1) * (v(2) - 1) == v(2) ** 2 - 1
 
 
 def _naive_product(a: TracePoly, b: TracePoly) -> dict:
@@ -61,15 +61,15 @@ def _naive_product(a: TracePoly, b: TracePoly) -> dict:
 @given(poly_strategy(), poly_strategy())
 @settings(max_examples=60, deadline=None)
 def test_product_matches_distributive_expansion(a, b):
-    assert tp_mul(a, b).terms == pytest.approx(_naive_product(a, b))
+    assert (a * b).terms == pytest.approx(_naive_product(a, b))
 
 
 @given(poly_strategy(), poly_strategy(), poly_strategy())
 @settings(max_examples=60, deadline=None)
 def test_product_commutative_associative(a, b, c):
-    assert tp_mul(a, b) == tp_mul(b, a)
-    lhs = tp_mul(tp_mul(a, b), c)
-    rhs = tp_mul(a, tp_mul(b, c))
+    assert a * b == b * a
+    lhs = (a * b) * c
+    rhs = a * (b * c)
     for m in set(lhs.terms) | set(rhs.terms):
         assert lhs.terms.get(m, 0) == pytest.approx(rhs.terms.get(m, 0), abs=1e-12)
 
@@ -86,7 +86,7 @@ def test_trace_degree_examples():
 
 def test_degree_of_product_adds():
     a, b = v(2) * v(-1), v(3) ** 2
-    assert trace_degree(tp_mul(a, b)) == trace_degree(a) + trace_degree(b)
+    assert trace_degree(a * b) == trace_degree(a) + trace_degree(b)
 
 
 def test_l1_norm_examples():
@@ -98,7 +98,7 @@ def test_l1_norm_examples():
 @given(poly_strategy(), poly_strategy())
 @settings(max_examples=60, deadline=None)
 def test_l1_norm_submultiplicative(a, b):
-    assert l1_norm(tp_mul(a, b)) <= l1_norm(a) * l1_norm(b) + 1e-9
+    assert l1_norm(a * b) <= l1_norm(a) * l1_norm(b) + 1e-9
 
 
 def test_mono_index_sum():
@@ -132,7 +132,7 @@ def test_eval_with_inverse_on_diagonal():
 
 
 def test_eval_unitary_traces_bounded(rng):
-    U = random_unitary(5, rng)
+    U = haar_unitary(5, rng)
     assert abs(eval_on_matrix(v(2), U)) <= 1.0 + 1e-12
 
 
@@ -146,14 +146,14 @@ def test_eval_singular_matrix_with_negative_power():
 @settings(max_examples=30, deadline=None)
 def test_eval_is_ring_homomorphism(a, b):
     rng = np.random.default_rng(7)
-    Z = random_unitary(3, rng)  # unitary: well-conditioned for negative powers
-    lhs = eval_on_matrix(tp_mul(a, b), Z)
+    Z = haar_unitary(3, rng)  # unitary: well-conditioned for negative powers
+    lhs = eval_on_matrix(a * b, Z)
     rhs = eval_on_matrix(a, Z) * eval_on_matrix(b, Z)
     assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
 def test_conjugate_trace_is_negative_index(rng):
-    U = random_unitary(6, rng)
+    U = haar_unitary(6, rng)
     for k in (1, 2, 3):
         lhs = np.conj(eval_on_matrix(v(k), U))
         rhs = eval_on_matrix(v(-k), U)
@@ -201,7 +201,7 @@ def test_lp_word_rejects_odd_p():
 
 
 def test_word_evaluation_matches_reduction_on_unitary(rng):
-    U = random_unitary(4, rng)
+    U = haar_unitary(4, rng)
     w = WordPoly.from_terms([((1, 1, 2), 0.5), ((2, 2), 1.0), ((), 2.0)])
     A = eval_word_on_matrix(w, U)
     direct = np.trace(A) / 4
