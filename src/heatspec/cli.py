@@ -59,6 +59,15 @@ def _c2pair(z: complex) -> list:
     return [z.real, z.imag]
 
 
+def _open_out(path: str, mode: str = "w"):
+    """Open an --out file for writing; a path that cannot be written is a
+    parameter error, raised before any sampling or density work."""
+    try:
+        return open(path, mode, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise InvalidParameter(f"--out {path!r} cannot be written: {exc.strerror}") from exc
+
+
 # -- moments -------------------------------------------------------------------
 
 
@@ -144,7 +153,7 @@ def cmd_simulate(ns: argparse.Namespace) -> int:
     out = None
     dump = None
     if ns.out is not None:
-        out = open(ns.out, "w", encoding="utf-8", newline="\n")
+        out = _open_out(ns.out)
         out.write(_manifest_comment("simulate", ns) + "\n")
         out.write(
             f"# group={cfg.group}, N={cfg.N}, t={cfg.t}, s={cfg.s}, seed={cfg.seed}\n"
@@ -192,7 +201,7 @@ def cmd_density(ns: argparse.Namespace) -> int:
         solver = CircleDensity(ns.t)
         xs = np.linspace(-math.pi, math.pi, ns.grid)
         # density with respect to dtheta, so the trapezoid mass of the grid is ~1
-        ys = [solver(x) / (2.0 * math.pi) for x in xs]
+        per = 2.0 * math.pi
     elif ns.law == "positive":
         tau = -abs(ns.t)
         support = positive_support(tau)
@@ -201,15 +210,19 @@ def cmd_density(ns: argparse.Namespace) -> int:
         # trapezoid mass of the dumped table converges fast
         frac = (1.0 - np.cos(np.linspace(0.0, math.pi, ns.grid))) / 2.0
         xs = support.r_minus + (support.r_plus - support.r_minus) * frac
-        ys = [solver(x) for x in xs]
+        per = 1.0
     else:
         raise InvalidParameter(f"unknown law {ns.law!r}")
 
+    if ns.out is not None:
+        # probe without truncating, so a failed grid leaves an old file as it was
+        _open_out(ns.out, "a").close()
+    ys = [solver(x) / per for x in xs]
     lines = [_manifest_comment("density", ns), f"# law={ns.law}, t={ns.t}", "theta_or_x,density"]
     lines += [f"{float(x)!r},{float(y)!r}" for x, y in zip(xs, ys)]
     text = "\n".join(lines) + "\n"
     if ns.out is not None:
-        with open(ns.out, "w", encoding="utf-8", newline="\n") as fh:
+        with _open_out(ns.out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -238,6 +251,8 @@ def cmd_variance_scan(ns: argparse.Namespace) -> int:
         raise InvalidConfig("--Ns must list at least one matrix size")
     if any(n < 2 for n in Ns):
         raise InvalidConfig("variance scan requires N >= 2")
+    if ns.paths < 2:
+        raise InvalidConfig("variance scan requires --paths >= 2 (a sample variance needs two paths)")
     p = parse_poly(ns.observable)
 
     rows = []

@@ -110,7 +110,9 @@ class _Continuation:
     root (``_start``), the distance of p from a support edge (``_edge_gap``),
     and a public ``root`` that maps its argument to (p, target) for
     ``_root``.  Solved roots are cached sorted by p; a new p marches from the
-    nearest cached one, halving the step on failure.
+    nearest cached one, halving the step on failure.  A root that has met the
+    residual contract is returned again for the same p and target without a
+    second check.
     """
 
     _law: str  # law and parameter, for error messages
@@ -121,6 +123,7 @@ class _Continuation:
     def _start(self, p: float, z: complex) -> None:
         self._keys = [p]  # sorted march parameters of the cached roots
         self._roots = [z]
+        self._checked = {}  # p -> (target, root) of roots that met the contract
 
     def _newton(self, z: complex, target: complex) -> complex | None:
         """Damped Newton on log(map(z)/target); None if it fails to converge."""
@@ -156,6 +159,9 @@ class _Continuation:
 
     def _root(self, p: float, target: complex) -> complex:
         """The branch root at march parameter p, with |map(z) − target| ≤ 1e−12."""
+        hit = self._checked.get(p)
+        if hit is not None and hit[0] == target:
+            return hit[1]
         keys = self._keys
         i = bisect.bisect_left(keys, p)
         if i < len(keys) and keys[i] == p:
@@ -169,6 +175,7 @@ class _Continuation:
                 raise
         if abs(self._map(z) - target) > _RESIDUAL_CAP:
             raise NoConvergence(f"{self._law}: residual contract violated")
+        self._checked[p] = (target, z)
         return z
 
     def _march(self, p: float, i: int) -> complex:
@@ -390,20 +397,23 @@ def adaptive_simpson(f, a: float, b: float, *, tol: float = 1e-8, max_depth: int
     m = 0.5 * (a + b)
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _simpson(f, a, m, b, fa, fm, fb, whole, tol, 0, max_depth)
 
-    def rec(a, m, b, fa, fm, fb, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth >= max_depth:
-            return left + right
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return rec(a, lm, m, fa, flm, fm, left, tol / 2.0, depth + 1) + rec(
-            m, rm, b, fm, frm, fb, right, tol / 2.0, depth + 1
-        )
 
-    return rec(a, m, b, fa, fm, fb, whole, tol, 0)
+def _simpson(f, a, m, b, fa, fm, fb, whole, tol, depth, max_depth):
+    # a module-level function, not a closure over itself: a self-recursive
+    # closure is a reference cycle that keeps f, and the solver caches f
+    # holds, alive until the next full garbage collection
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = f(lm)
+    frm = f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    if depth >= max_depth:
+        return left + right
+    if abs(left + right - whole) <= 15.0 * tol:
+        return left + right + (left + right - whole) / 15.0
+    return _simpson(f, a, lm, m, fa, flm, fm, left, tol / 2.0, depth + 1, max_depth) + _simpson(
+        f, m, rm, b, fm, frm, fb, right, tol / 2.0, depth + 1, max_depth
+    )

@@ -13,13 +13,19 @@ The rest of the module turns samples into numbers: spectral extraction,
 empirical integrals of Fourier-Laurent test functions, the test-function norms
 (Sobolev, super-analytic, Lipschitz upper bound), the closed-form right-hand
 sides of the variance inequalities, noncommutative L^p norms, and a streaming
-mean/variance experiment harness.
+mean/variance experiment harness.  The harness runs paths on one thread per
+available CPU and folds their results in path order, so its summaries are
+bit-identical to a serial run on any core count; only warnings can arrive out
+of path order.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
@@ -29,6 +35,7 @@ import numpy as np
 from .errors import (
     ConditioningWarning,
     EigFailure,
+    HeatspecError,
     IllConditioned,
     InvalidConfig,
     InvalidParameter,
@@ -50,6 +57,7 @@ _CONDITION_CAP = 1e12
 _MAX_RETRIES = 3
 _UNITARITY_TOL = 1e-10
 _SEED_MASK = (1 << 64) - 1
+_PATHS_PER_THREAD = 4  # paths in flight per thread in `mc_experiment`
 
 
 @dataclass(frozen=True)
@@ -471,6 +479,15 @@ def _default_name(obs) -> str:
     raise InvalidParameter(f"unsupported observable type {type(obs).__name__}")
 
 
+def _thread_count(paths: int) -> int:
+    """Threads for `mc_experiment`: one per CPU this process may use, at most paths."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, paths))
+
+
 def mc_experiment(
     cfg: EnsembleConfig,
     observables: Sequence,
@@ -483,9 +500,16 @@ def mc_experiment(
 
     Trace polynomials are evaluated directly on the sampled matrix; test
     functions are integrated against the circle spectrum (unitary group) or the
-    positive spectrum of ZZ* (general-linear group).  Accumulation is one pass
-    in path order with Welford updates, so a fixed seed gives a bit-identical
-    summary on every run.
+    positive spectrum of ZZ* (general-linear group).
+
+    Paths run on a thread pool, one thread per CPU the process may use, a
+    few paths per thread in flight at once; numpy releases the interpreter
+    lock in the random fill, the matrix products and the eigen and singular
+    value solvers.  The calling thread takes the results in path order: it
+    makes the Welford updates, calls spectrum_dump and raises the first
+    error, so the summary, the dumps and the exception are bit-identical to a
+    serial run on any core count.  Warnings raised while sampling
+    (`ConditioningWarning`) can arrive out of path order.
 
     spectrum_dump, when given, receives (path_index, spectral values) for every
     path, using dump_kind or the group's display default (circle eigenvalues
@@ -508,28 +532,49 @@ def mc_experiment(
     tf_kind = CIRCLE_EIG if cfg.group == UNITARY else POSITIVE_EIG
     if dump_kind is None:
         dump_kind = CIRCLE_EIG if cfg.group == UNITARY else COMPLEX_EIG
-
-    count = 0
-    means = np.zeros(len(obs), dtype=complex)
-    m2 = np.zeros(len(obs), dtype=float)
     needs_tf = any(isinstance(o, TestFunction) for o in obs)
-    for j in range(cfg.paths):
+
+    def run_path(j: int):
+        # one path's dump values and observable values; a package error in
+        # the observables is returned, to be raised after path j's dump
         Z = sample_matrix(cfg, j)
         tf_sample = None
         if needs_tf:
             tf_sample = extract_spectrum(Z, tf_kind, config=cfg, path_index=j)
+        dumped = None
         if spectrum_dump is not None:
-            dump = extract_spectrum(Z, dump_kind, config=cfg, path_index=j)
-            spectrum_dump(j, dump.values)
-        count += 1
-        for i, o in enumerate(obs):
-            if isinstance(o, TracePoly):
-                x = eval_on_matrix(o, Z)
-            else:
-                x = empirical_integral(tf_sample, o)
-            delta = x - means[i]
-            means[i] += delta / count
-            m2[i] += (np.conj(delta) * (x - means[i])).real
+            dumped = extract_spectrum(Z, dump_kind, config=cfg, path_index=j).values
+        try:
+            return dumped, [
+                eval_on_matrix(o, Z) if isinstance(o, TracePoly) else empirical_integral(tf_sample, o)
+                for o in obs
+            ]
+        except HeatspecError as exc:
+            return dumped, exc
+
+    count = 0
+    means = np.zeros(len(obs), dtype=complex)
+    m2 = np.zeros(len(obs), dtype=float)
+    threads = _thread_count(cfg.paths)
+    window = _PATHS_PER_THREAD * threads
+    pool = ThreadPoolExecutor(max_workers=threads)
+    try:
+        pending = deque(pool.submit(run_path, j) for j in range(min(window, cfg.paths)))
+        for j in range(cfg.paths):
+            dumped, xs = pending.popleft().result()
+            if j + window < cfg.paths:
+                pending.append(pool.submit(run_path, j + window))
+            if spectrum_dump is not None:
+                spectrum_dump(j, dumped)
+            if isinstance(xs, HeatspecError):
+                raise xs
+            count += 1
+            for i, x in enumerate(xs):
+                delta = x - means[i]
+                means[i] += delta / count
+                m2[i] += (np.conj(delta) * (x - means[i])).real
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     variances = tuple(float(m / (count - 1)) if count > 1 else 0.0 for m in m2)
     stderrs = tuple(math.sqrt(v / count) for v in variances)

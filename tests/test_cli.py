@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+import heatspec.cli as cli
 from heatspec.cli import main
+from heatspec.errors import NoConvergence
 
 MANIFEST_KEYS = {"subcommand", "flags", "seed", "version", "wall_time_s"}
 
@@ -197,6 +199,18 @@ def test_simulate_gl_with_stretch_observable(capsys):
         assert math.isfinite(o["variance"])
 
 
+def test_simulate_unwritable_out_is_parameter_error_before_sampling(tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started before --out was opened")
+
+    monkeypatch.setattr(cli, "mc_experiment", no_sampling)
+    assert main([
+        "simulate", "--group", "unitary", "--N", "2", "--t", "0.5",
+        "--paths", "2", "--out", str(tmp_path / "missing" / "x.csv"),
+    ]) == 2
+    assert "InvalidParameter" in capsys.readouterr().err
+
+
 # -- density ----------------------------------------------------------------------------
 
 
@@ -243,6 +257,37 @@ def test_density_guards(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("law", ["unitary", "positive"])
+def test_density_unwritable_out_is_parameter_error_before_evaluation(tmp_path, capsys, monkeypatch, law):
+    def no_evaluation(self, x):
+        raise AssertionError("density evaluated before --out was opened")
+
+    monkeypatch.setattr(cli.CircleDensity, "__call__", no_evaluation)
+    monkeypatch.setattr(cli.LineDensity, "__call__", no_evaluation)
+    assert main([
+        "density", "--law", law, "--t", "1.0", "--grid", "8",
+        "--out", str(tmp_path / "missing" / "d.csv"),
+    ]) == 2
+    assert "InvalidParameter" in capsys.readouterr().err
+
+
+def test_density_failed_grid_leaves_existing_out_file_unchanged(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def fails_midway(self, x):
+        calls.append(x)
+        if len(calls) == 3:
+            raise NoConvergence("planted failure at the third grid point")
+        return 0.1
+
+    monkeypatch.setattr(cli.CircleDensity, "__call__", fails_midway)
+    out = tmp_path / "d.csv"
+    out.write_text("old table\n", encoding="utf-8")
+    assert main(["density", "--law", "unitary", "--t", "1.0", "--grid", "8", "--out", str(out)]) == 1
+    assert "NoConvergence" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "old table\n"
+
+
 # -- variance scan -----------------------------------------------------------------------
 
 
@@ -264,6 +309,14 @@ def test_variance_scan_guards(capsys):
     assert main(["variance-scan", "--Ns", " ,", "--t", "1.0"]) == 2
     assert main(["variance-scan", "--Ns", "1,4", "--t", "1.0", "--paths", "5"]) == 2
     capsys.readouterr()
+
+
+def test_variance_scan_needs_two_paths(capsys):
+    # a sample variance needs two paths; one gave NaN, which is not JSON
+    assert main(["variance-scan", "--Ns", "2,4", "--t", "1.0", "--paths", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "InvalidConfig" in captured.err
+    assert captured.out == ""
 
 
 def test_variance_scan_non_integer_size_is_parameter_error(capsys):

@@ -1,6 +1,8 @@
 """Spectral densities on the circle and the positive line, plus quadrature."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from heatspec.density import (
     unitary_density,
     unitary_support,
 )
-from heatspec.errors import InvalidParameter
+from heatspec.errors import InvalidParameter, NoConvergence
 from heatspec.moments import nu_moment
 
 # frozen endpoints for tau = -1: d = sqrt(5), r_pm = ((3 ∓ d)/2) e^{∓ d/2}
@@ -109,6 +111,17 @@ def test_circle_root_residual_and_branch():
     assert residual <= 1e-12
     assert z.real > 0.0
 
+
+
+def test_circle_stepping_stone_is_checked_when_first_asked():
+    solver = CircleDensity(1.0)
+    z = solver.root(0.5)  # marches from 0, caching every intermediate angle
+    stone = solver._keys[1]
+    assert 0.0 < stone < 0.5
+    solver._roots[1] += 1e-6  # no query has returned this root yet
+    with pytest.raises(NoConvergence, match="residual"):
+        solver.root(stone)
+    assert solver.root(0.5) == z
 
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 4.0, 6.0])
 def test_circle_density_nonnegative_on_grid(t):
@@ -256,6 +269,23 @@ def test_simpson_square_root_edge():
     got = adaptive_simpson(math.sqrt, 0.0, 1.0, tol=1e-9)
     assert got == pytest.approx(2.0 / 3.0, abs=1e-7)
 
+
+
+def test_simpson_releases_integrand_without_garbage_collection():
+    # a solver's root cache lives as long as the integrand that holds it
+    class Integrand:
+        def __call__(self, x):
+            return x * x
+
+    f = Integrand()
+    alive = weakref.ref(f)
+    gc.disable()
+    try:
+        assert adaptive_simpson(f, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        del f
+        assert alive() is None
+    finally:
+        gc.enable()
 
 def test_simpson_degenerate_interval():
     assert adaptive_simpson(math.sin, 1.3, 1.3) == 0.0

@@ -20,6 +20,7 @@ from heatspec.errors import (
     InvalidParameter,
     PrecisionWarning,
     RegimeViolation,
+    SingularMatrix,
     ZeroSpectrumValue,
 )
 from heatspec.flow import finite_N_covariance_unitary, finite_N_expectation
@@ -45,7 +46,7 @@ from heatspec.simulate import (
     unitarity_drift,
     variance_bound_rhs,
 )
-from heatspec.trace_poly import WordPoly, eval_on_matrix, v
+from heatspec.trace_poly import TracePoly, WordPoly, eval_on_matrix, v
 
 
 # -- configuration ---------------------------------------------------------------
@@ -645,6 +646,124 @@ def test_mc_spectrum_dump_kind_override():
     for vals in kinds:
         assert vals.dtype == float
         assert np.all(vals > 0.0)
+
+
+def _serial_experiment(cfg, obs):
+    """The harness written as one serial loop: summary fields and dumps."""
+    tf_kind = CIRCLE_EIG if cfg.group == UNITARY else POSITIVE_EIG
+    dump_kind = CIRCLE_EIG if cfg.group == UNITARY else COMPLEX_EIG
+    count, dumps = 0, []
+    means = np.zeros(len(obs), dtype=complex)
+    m2 = np.zeros(len(obs))
+    for j in range(cfg.paths):
+        Z = sample_matrix(cfg, j)
+        spectrum = extract_spectrum(Z, tf_kind)
+        dumps.append((j, extract_spectrum(Z, dump_kind).values))
+        count += 1
+        for i, o in enumerate(obs):
+            x = eval_on_matrix(o, Z) if isinstance(o, TracePoly) else empirical_integral(spectrum, o)
+            delta = x - means[i]
+            means[i] += delta / count
+            m2[i] += (np.conj(delta) * (x - means[i])).real
+    variances = tuple(float(m / (count - 1)) if count > 1 else 0.0 for m in m2)
+    stderrs = tuple(math.sqrt(var / count) for var in variances)
+    return tuple(complex(m) for m in means), variances, stderrs, dumps
+
+
+def _small_config(group, paths, seed=11):
+    if group == UNITARY:
+        return EnsembleConfig(group=UNITARY, N=4, t=0.7, steps=20, paths=paths, seed=seed)
+    return EnsembleConfig(group=GENERAL_LINEAR, N=3, t=0.5, s=1.0, steps=20, paths=paths, seed=seed)
+
+
+_HARNESS_OBS = [v(1), v(2) * v(-1), TestFunction.chi(1), TestFunction.from_dict({-1: 0.5, 2: 1j})]
+
+
+def _fields(summary):
+    return summary.means, summary.variances, summary.stderrs, summary.paths
+
+
+@pytest.fixture
+def two_threads(monkeypatch):
+    """Two path threads on any machine."""
+    monkeypatch.setattr(sim, "_thread_count", lambda paths: 2)
+
+
+@pytest.mark.parametrize("group", [UNITARY, GENERAL_LINEAR])
+@pytest.mark.parametrize("paths", [1, 3, 37])
+def test_mc_experiment_matches_serial_loop(group, paths, two_threads):
+    # path counts that are not multiples of the thread count or the window
+    cfg = _small_config(group, paths)
+    dumps = []
+    summary = mc_experiment(cfg, _HARNESS_OBS, spectrum_dump=lambda j, vals: dumps.append((j, vals)))
+    means, variances, stderrs, want_dumps = _serial_experiment(cfg, _HARNESS_OBS)
+    assert _fields(summary) == (means, variances, stderrs, paths)
+    assert [j for j, _ in dumps] == list(range(paths))
+    for (_, got), (_, want) in zip(dumps, want_dumps):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("group", [UNITARY, GENERAL_LINEAR])
+def test_mc_summary_does_not_depend_on_thread_count(group, monkeypatch):
+    cfg = _small_config(group, 23, seed=5)
+    summaries = []
+    for threads in (1, 3):
+        monkeypatch.setattr(sim, "_thread_count", lambda paths, n=threads: n)
+        summaries.append(_fields(mc_experiment(cfg, _HARNESS_OBS)))
+    assert summaries[0] == summaries[1]
+
+
+def test_mc_error_at_one_path_propagates_after_earlier_dumps(monkeypatch, two_threads):
+    real = sim.sample_matrix
+
+    def failing(cfg, j):
+        if j == 5:
+            raise IllConditioned("planted failure at path 5")
+        return real(cfg, j)
+
+    monkeypatch.setattr(sim, "sample_matrix", failing)
+    seen = []
+    with pytest.raises(IllConditioned, match="path 5"):
+        mc_experiment(_small_config(UNITARY, 20), [v(1)], spectrum_dump=lambda j, vals: seen.append(j))
+    assert seen == [0, 1, 2, 3, 4]
+
+
+def test_mc_error_in_observables_propagates_after_that_paths_dump(monkeypatch, two_threads):
+    # as in a serial loop, path 5 is dumped before its observable raises
+    real = sim.sample_matrix
+    monkeypatch.setattr(sim, "sample_matrix", lambda cfg, j: np.zeros((4, 4)) if j == 5 else real(cfg, j))
+    seen = []
+    with pytest.raises(SingularMatrix):
+        mc_experiment(
+            _small_config(UNITARY, 20), [v(-1)],
+            spectrum_dump=lambda j, vals: seen.append(j), dump_kind=COMPLEX_EIG,
+        )
+    assert seen == [0, 1, 2, 3, 4, 5]
+
+
+def test_thread_count_is_one_per_cpu_capped_at_paths(monkeypatch):
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert sim._thread_count(100) == 4
+    assert sim._thread_count(3) == 3
+    assert sim._thread_count(1) == 1
+
+
+def test_mc_conditioning_warning_from_worker_thread_reaches_caller(monkeypatch):
+    # one path: the first condition check fails, the resample passes
+    real = sim._cond_1norm
+    calls = []
+
+    def fake(Z):
+        calls.append(1)
+        return math.inf if len(calls) == 1 else real(Z)
+
+    monkeypatch.setattr(sim, "_cond_1norm", fake)
+    cfg = _small_config(GENERAL_LINEAR, 1)
+    with pytest.warns(ConditioningWarning) as record:
+        summary = mc_experiment(cfg, [v(1)])
+    assert len(record) == 1
+    assert "path 0" in str(record[0].message) and "stream 0" in str(record[0].message)
+    assert summary.paths == 1
 
 
 # -- noncommutative p-norms --------------------------------------------------------
